@@ -36,20 +36,6 @@ let record ~experiment ~series ?(n = 0) ?gflops ?fuel () =
       jr_gflops = gflops; jr_fuel = fuel }
     :: !json_rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Every context made by [fresh_ctx] runs with its Tprof probe on and is
    registered under the experiment that created it; --json emits one
    profile per experiment so each benchmark row can be traced back to
@@ -86,47 +72,39 @@ let profiles_json () =
   in
   List.rev_map
     (fun (name, ctx) ->
-      Printf.sprintf "    \"%s\": %s" (json_escape name)
-        (Tprof.Report.to_json (Context.profile ctx)))
+      (name, Tprof.Report.to_json_value (Context.profile ctx)))
     ordered
 
 let write_json path =
+  let module J = Tprof.Json in
+  let row r =
+    J.Obj
+      ([
+         ("experiment", J.Str r.jr_experiment);
+         ("series", J.Str r.jr_series);
+         ("n", J.Int r.jr_n);
+       ]
+      @ (match r.jr_gflops with Some g -> [ ("gflops", J.Float g) ] | None -> [])
+      @ match r.jr_fuel with Some f -> [ ("fuel", J.Int f) ] | None -> [])
+  in
+  let doc =
+    J.Obj
+      [
+        ("schema", J.Str "terra-bench-3");
+        ("results", J.List (List.rev_map row !json_rows));
+        ( "wall_ns",
+          J.Obj
+            (List.rev_map (fun (name, ns) -> (name, J.Int (Int64.to_int ns)))
+               !wall_ns) );
+        ("profiles", J.Obj (profiles_json ()));
+      ]
+  in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc "{\n  \"schema\": \"terra-bench-3\",\n  \"results\": [\n";
-      let rows = List.rev !json_rows in
-      List.iteri
-        (fun i r ->
-          let fields =
-            [
-              Printf.sprintf "\"experiment\": \"%s\"" (json_escape r.jr_experiment);
-              Printf.sprintf "\"series\": \"%s\"" (json_escape r.jr_series);
-              Printf.sprintf "\"n\": %d" r.jr_n;
-            ]
-            @ (match r.jr_gflops with
-              | Some g -> [ Printf.sprintf "\"gflops\": %.6f" g ]
-              | None -> [])
-            @
-            match r.jr_fuel with
-            | Some f -> [ Printf.sprintf "\"fuel\": %d" f ]
-            | None -> []
-          in
-          Printf.fprintf oc "    {%s}%s\n"
-            (String.concat ", " fields)
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      output_string oc "  ],\n  \"wall_ns\": {\n";
-      let timings = List.rev !wall_ns in
-      List.iteri
-        (fun i (name, ns) ->
-          Printf.fprintf oc "    \"%s\": %Ld%s\n" (json_escape name) ns
-            (if i = List.length timings - 1 then "" else ","))
-        timings;
-      output_string oc "  },\n  \"profiles\": {\n";
-      output_string oc (String.concat ",\n" (profiles_json ()));
-      output_string oc "\n  }\n}\n");
+      output_string oc (J.to_string doc);
+      output_char oc '\n');
   Printf.printf "\nwrote %d benchmark rows to %s\n" (List.length !json_rows) path
 
 let fresh_ctx ?opt_level () =
@@ -889,10 +867,15 @@ let recover_bench () =
   let good = "terra f() return 40 + 2 end print(f())" in
   let div = "terra d(n : int32) return 10 / n end print(d(0))" in
   let req i =
-    Printf.sprintf
-      "{\"op\":\"run\",\"src\":\"%s\",\"retries\":0,\"tenant\":\"t%02d\"}"
-      (json_escape (if i mod 4 = 3 then div else good))
-      (i mod 16)
+    Tprof.Json.(
+      to_string
+        (Obj
+           [
+             ("op", Str "run");
+             ("src", Str (if i mod 4 = 3 then div else good));
+             ("retries", Int 0);
+             ("tenant", Str (Printf.sprintf "t%02d" (i mod 16)));
+           ]))
   in
   let requests = 100 in
   Printf.printf "%d requests, 2 checked engines per session:\n%!" requests;

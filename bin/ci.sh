@@ -5,6 +5,22 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== one decoder, one JSON escaper =="
+# Marshaled data read back from disk is decoded only by Terra.Blobio (the
+# guarded decode), and JSON strings are escaped only by Tprof.Json; a
+# second copy of either under lib/ fails here.
+strays=$( {
+  grep -rn --include='*.ml' 'Marshal\.from_string' lib \
+    | grep -v '^lib/terra/blobio\.ml:'
+  grep -rnE --include='*.ml' "json_escape|'\"' *-> *Buffer\.add_string" lib \
+    | grep -v '^lib/tprof/json\.ml:'
+} || true)
+if [ -n "$strays" ]; then
+  echo "$strays" >&2
+  echo "unmarshal outside Blobio or JSON escaping outside Tprof.Json" >&2
+  exit 1
+fi
+
 echo "== build =="
 dune build @all
 

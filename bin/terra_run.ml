@@ -6,12 +6,6 @@
    fault, or a leak under --checked), 3 = --verify-rollback found the
    session changed after a rolled-back transactional run. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Exit code for a protected/supervised run result, shared by the plain
    and transactional paths. *)
 let code_of_result engine ~checked ~no_leak_check = function
@@ -117,7 +111,7 @@ let rec run_file path stats fuel max_steps max_depth checked no_leak_check
 and run_one path stats fuel max_steps max_depth checked no_leak_check
     fail_alloc_at trap_at_step report_fuel opt dump_ir dump_opt_stats transact
     verify_rollback retries profile trace ccache =
-  let src = read_file path in
+  let src = Supervise.Batch.read_file path in
   let faults =
     List.filter_map
       (fun x -> x)

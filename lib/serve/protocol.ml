@@ -123,28 +123,11 @@ let parse (line : string) : (request option, Diag.t) result =
 (* ------------------------------------------------------------------ *)
 (* Responses *)
 
-let opt_str = function Some s -> Json.Str s | None -> Json.Null
-
 (** The [terra-batch-2] request-report fields shared with
     [terra_run --batch], plus serve-specific extras appended. *)
 let entry_json (e : Batch.entry) ~(extra : (string * Json.t) list) : Json.t =
   Json.Obj
-    ([
-       ("schema", Json.Str "terra-batch-2");
-       ("file", Json.Str e.Batch.e_file);
-       ("status", Json.Str e.Batch.e_status);
-       ("code", opt_str e.Batch.e_code);
-       ("message", opt_str e.Batch.e_message);
-       ("attempts", Json.Int e.Batch.e_attempts);
-       ("retries", Json.Int e.Batch.e_retries);
-       ("backoff", Json.Int e.Batch.e_backoff);
-       ("fuel", Json.Int e.Batch.e_fuel);
-       ("fallback", Json.Bool e.Batch.e_fallback);
-       ("divergence", opt_str e.Batch.e_divergence);
-       ("output", Json.Str e.Batch.e_output);
-       ("tenant", Json.Str e.Batch.e_tenant);
-     ]
-    @ extra)
+    ((("schema", Json.Str "terra-batch-2") :: Batch.entry_fields e) @ extra)
 
 (** The serve-specific extras for a response that never touched an
     engine: parse errors, oversize lines, admission rejections, source
@@ -160,24 +143,9 @@ let no_engine_extra =
 
 (** A non-run failure (bad request, admission rejection) rendered in the
     same shape, so clients parse one schema. *)
-let error_json ?(status = "error") ?(tenant = Batch.default_tenant)
-    ?(file = "-") ?(extra = []) (d : Diag.t) : Json.t =
-  entry_json
-    {
-      Batch.e_file = file;
-      e_status = status;
-      e_code = Some d.Diag.code;
-      e_message = Some d.Diag.message;
-      e_attempts = 0;
-      e_retries = 0;
-      e_backoff = 0;
-      e_fuel = 0;
-      e_fallback = false;
-      e_divergence = None;
-      e_output = "";
-      e_tenant = tenant;
-    }
-    ~extra
+let error_json ?status ?tenant ?(file = "-") ?(extra = []) (d : Diag.t) :
+    Json.t =
+  entry_json (Batch.error_entry ?status ?tenant ~file d) ~extra
 
 (** The exit code a one-shot [terra_run] would report for this result:
     0 success, 1 diagnostic, 2 runtime fault (or a leak under checked

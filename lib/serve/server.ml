@@ -112,12 +112,6 @@ let create ?(config = default_config) () =
     crashed = None;
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ------------------------------------------------------------------ *)
 (* Run requests *)
 
@@ -196,7 +190,7 @@ let prepare_run (t : t) (r : Protocol.run_req) : prepared =
         match r.Protocol.r_src with
         | Some src -> Ok src
         | None -> (
-            match read_file file with
+            match Batch.read_file file with
             | src -> Ok src
             | exception Sys_error msg ->
                 Error (Diag.make ~phase:Diag.Eval ~code:"batch.io" msg))
@@ -318,11 +312,6 @@ let execute_admitted (t : t) (r : Protocol.run_req) (a : admitted)
           Pool.checkin ?after t.pool slot ~anomaly;
           if slot.Pool.eng == eng then
             Terra.Engine.set_limits ~max_call_depth:saved_depth eng;
-          let code, message =
-            match o.Supervisor.result with
-            | Ok _ -> (None, None)
-            | Error d -> (Some d.Diag.code, Some d.Diag.message)
-          in
           let exit_code =
             if rollback = `Failed then 3
             else
@@ -336,25 +325,11 @@ let execute_admitted (t : t) (r : Protocol.run_req) (a : admitted)
             | _ -> Json.Null
           in
           let resp =
+            let entry = Batch.entry_of_outcome ~file ~tenant:tenant_name o in
             Protocol.entry_json
-              {
-                Batch.e_file = file;
-                e_status =
-                  (if Result.is_ok o.Supervisor.result then "ok" else "error");
-                e_code =
-                  (if rollback = `Failed then Some "serve.fingerprint-mismatch"
-                   else code);
-                e_message = message;
-                e_attempts = o.Supervisor.attempts;
-                e_retries = o.Supervisor.retries;
-                e_backoff = o.Supervisor.backoff_total;
-                e_fuel = o.Supervisor.fuel_used;
-                e_fallback = o.Supervisor.fallback;
-                e_divergence =
-                  Option.map (fun d -> d.Diag.code) o.Supervisor.divergence;
-                e_output = o.Supervisor.output;
-                e_tenant = tenant_name;
-              }
+              (if rollback = `Failed then
+                 { entry with Batch.e_code = Some "serve.fingerprint-mismatch" }
+               else entry)
               ~extra:
                 [
                   ("engine", Json.Int slot.Pool.id);
@@ -651,12 +626,12 @@ let recover ?(config = default_config) ~dir ?interval ?crash_at ?on_event ()
   match Durable.recover_scan ~dir with
   | Error d -> Error d
   | Ok rc -> (
-      match (Marshal.from_string rc.Durable.rc_state 0 : persisted) with
-      | exception _ ->
+      match Terra.Blobio.unmarshal rc.Durable.rc_state with
+      | Error msg ->
           Error
             (Diag.make ~phase:Diag.Run ~code:"recover.bad-checkpoint"
-               "checkpoint payload does not parse")
-      | p ->
+               ("checkpoint " ^ msg))
+      | Ok (p : persisted) ->
           if not (String.equal p.p_config (config_digest config)) then
             Error
               (Diag.make ~phase:Diag.Run ~code:"recover.config-mismatch"

@@ -16,6 +16,8 @@
     ([Serve]): a serve request line is a manifest line, parsed by
     {!parse_line}. *)
 
+module Json = Tprof.Json
+
 type request = {
   req_file : string;
   req_fuel : int option;  (** per-attempt fuel budget override *)
@@ -151,6 +153,48 @@ let default_tenant = "default"
 
 let tenant_of req = Option.value req.req_tenant ~default:default_tenant
 
+(** The report row for a request that failed before any attempt ran
+    (unreadable source, malformed manifest, rejected admission). *)
+let error_entry ?(status = "error") ?(tenant = default_tenant) ~file
+    (d : Terra.Diag.t) : entry =
+  {
+    e_file = file;
+    e_status = status;
+    e_code = Some d.Terra.Diag.code;
+    e_message = Some d.Terra.Diag.message;
+    e_attempts = 0;
+    e_retries = 0;
+    e_backoff = 0;
+    e_fuel = 0;
+    e_fallback = false;
+    e_divergence = None;
+    e_output = "";
+    e_tenant = tenant;
+  }
+
+(** The report row for a supervised run. *)
+let entry_of_outcome ~file ~tenant (o : Supervisor.outcome) : entry =
+  let code, message =
+    match o.Supervisor.result with
+    | Ok _ -> (None, None)
+    | Error d -> (Some d.Terra.Diag.code, Some d.Terra.Diag.message)
+  in
+  {
+    e_file = file;
+    e_status = (if Result.is_ok o.Supervisor.result then "ok" else "error");
+    e_code = code;
+    e_message = message;
+    e_attempts = o.Supervisor.attempts;
+    e_retries = o.Supervisor.retries;
+    e_backoff = o.Supervisor.backoff_total;
+    e_fuel = o.Supervisor.fuel_used;
+    e_fallback = o.Supervisor.fallback;
+    e_divergence =
+      Option.map (fun d -> d.Terra.Diag.code) o.Supervisor.divergence;
+    e_output = o.Supervisor.output;
+    e_tenant = tenant;
+  }
+
 (** Run [reqs] in order against [eng], each under the supervisor.  All
     requests share one circuit breaker (from [config], or a fresh one);
     untenanted requests break per-script (key = file) as before, while a
@@ -162,20 +206,8 @@ let run_one ~(config : Supervisor.config) ~breaker (eng : Terra.Engine.t)
   let file = req.req_file in
   match read_file file with
   | exception Sys_error msg ->
-      {
-        e_file = file;
-        e_status = "error";
-        e_code = Some "batch.io";
-        e_message = Some msg;
-        e_attempts = 0;
-        e_retries = 0;
-        e_backoff = 0;
-        e_fuel = 0;
-        e_fallback = false;
-        e_divergence = None;
-        e_output = "";
-        e_tenant = tenant_of req;
-      }
+      error_entry ~tenant:(tenant_of req) ~file
+        (Terra.Diag.make ~phase:Terra.Diag.Eval ~code:"batch.io" msg)
   | src ->
       let cfg =
         {
@@ -191,30 +223,8 @@ let run_one ~(config : Supervisor.config) ~breaker (eng : Terra.Engine.t)
             | None -> config.Supervisor.max_retries);
         }
       in
-      let o =
-        Supervisor.run_script ~config:cfg ?key:req.req_tenant ~file eng src
-      in
-      let code, message =
-        match o.Supervisor.result with
-        | Ok _ -> (None, None)
-        | Error d -> (Some d.Terra.Diag.code, Some d.Terra.Diag.message)
-      in
-      {
-        e_file = file;
-        e_status =
-          (if Result.is_ok o.Supervisor.result then "ok" else "error");
-        e_code = code;
-        e_message = message;
-        e_attempts = o.Supervisor.attempts;
-        e_retries = o.Supervisor.retries;
-        e_backoff = o.Supervisor.backoff_total;
-        e_fuel = o.Supervisor.fuel_used;
-        e_fallback = o.Supervisor.fallback;
-        e_divergence =
-          Option.map (fun d -> d.Terra.Diag.code) o.Supervisor.divergence;
-        e_output = o.Supervisor.output;
-        e_tenant = tenant_of req;
-      }
+      entry_of_outcome ~file ~tenant:(tenant_of req)
+        (Supervisor.run_script ~config:cfg ?key:req.req_tenant ~file eng src)
 
 let run_requests ?(config = Supervisor.default_config)
     (eng : Terra.Engine.t) (reqs : request list) : entry list =
@@ -273,34 +283,34 @@ let run_requests_par ?(config = Supervisor.default_config) ~jobs
 (* ------------------------------------------------------------------ *)
 (* JSON report *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(** The [terra-batch-2] fields of one request row, in report order.
+    The serve protocol emits the same fields for every run response. *)
+let entry_fields e : (string * Json.t) list =
+  let opt = function Some s -> Json.Str s | None -> Json.Null in
+  [
+    ("file", Json.Str e.e_file);
+    ("status", Json.Str e.e_status);
+    ("code", opt e.e_code);
+    ("message", opt e.e_message);
+    ("attempts", Json.Int e.e_attempts);
+    ("retries", Json.Int e.e_retries);
+    ("backoff", Json.Int e.e_backoff);
+    ("fuel", Json.Int e.e_fuel);
+    ("fallback", Json.Bool e.e_fallback);
+    ("divergence", opt e.e_divergence);
+    ("output", Json.Str e.e_output);
+    ("tenant", Json.Str e.e_tenant);
+  ]
 
-let json_str s = "\"" ^ json_escape s ^ "\""
-let json_opt = function Some s -> json_str s | None -> "null"
-
+(* One row on one line, with the ", " and ": " separators the report has
+   always used. *)
 let entry_to_json e =
-  Printf.sprintf
-    "{\"file\": %s, \"status\": %s, \"code\": %s, \"message\": %s, \
-     \"attempts\": %d, \"retries\": %d, \"backoff\": %d, \"fuel\": %d, \
-     \"fallback\": %b, \"divergence\": %s, \"output\": %s, \"tenant\": %s}"
-    (json_str e.e_file) (json_str e.e_status) (json_opt e.e_code)
-    (json_opt e.e_message) e.e_attempts e.e_retries e.e_backoff e.e_fuel
-    e.e_fallback (json_opt e.e_divergence) (json_str e.e_output)
-    (json_str e.e_tenant)
+  "{"
+  ^ String.concat ", "
+      (List.map
+         (fun (k, v) -> Json.to_string (Json.Str k) ^ ": " ^ Json.to_string v)
+         (entry_fields e))
+  ^ "}"
 
 (** Render the whole report: schema header, per-request rows, and the
     engine-wide profile accumulated across all requests. *)
@@ -319,6 +329,16 @@ let to_json ?profile entries =
 (** Did every request succeed? *)
 let all_ok entries = List.for_all (fun e -> e.e_status = "ok") entries
 
+(* Parse [manifest_path], run its requests, and render the report; a
+   malformed manifest becomes a single [batch.bad-manifest] error row. *)
+let manifest_report manifest_path ~run ~profile : string * int =
+  let entries =
+    match parse_manifest manifest_path with
+    | Ok reqs -> run reqs
+    | Error d -> [ error_entry ~file:manifest_path d ]
+  in
+  (to_json ?profile:(profile ()) entries, if all_ok entries then 0 else 1)
+
 (** Run a manifest end to end: parse, execute against [eng], render.
     The report carries the engine's profile when its probe has profiling
     on.  Returns the JSON report and the suggested exit code (0 if every
@@ -326,32 +346,11 @@ let all_ok entries = List.for_all (fun e -> e.e_status = "ok") entries
     report with a single [batch.bad-manifest] error row, not an
     exception. *)
 let run_manifest ?config eng manifest_path : string * int =
-  let entries =
-    match parse_manifest manifest_path with
-    | Ok reqs -> run_requests ?config eng reqs
-    | Error d ->
-        [
-          {
-            e_file = manifest_path;
-            e_status = "error";
-            e_code = Some d.Terra.Diag.code;
-            e_message = Some d.Terra.Diag.message;
-            e_attempts = 0;
-            e_retries = 0;
-            e_backoff = 0;
-            e_fuel = 0;
-            e_fallback = false;
-            e_divergence = None;
-            e_output = "";
-            e_tenant = default_tenant;
-          };
-        ]
-  in
-  let probe = Terra.Context.probe eng.Terra.Engine.ctx in
-  let profile =
-    if probe.Tprof.Probe.on then Some (Terra.Engine.profile_json eng) else None
-  in
-  (to_json ?profile entries, if all_ok entries then 0 else 1)
+  manifest_report manifest_path ~run:(run_requests ?config eng)
+    ~profile:(fun () ->
+      let probe = Terra.Context.probe eng.Terra.Engine.ctx in
+      if probe.Tprof.Probe.on then Some (Terra.Engine.profile_json eng)
+      else None)
 
 (** Parallel {!run_manifest}: [jobs] worker domains, rows merged in
     manifest order.  The report is a pure function of the manifest —
@@ -359,25 +358,6 @@ let run_manifest ?config eng manifest_path : string * int =
     carries the engine-wide profile. *)
 let run_manifest_par ?config ~jobs ~make_engine manifest_path : string * int
     =
-  let entries =
-    match parse_manifest manifest_path with
-    | Ok reqs -> run_requests_par ?config ~jobs ~make_engine reqs
-    | Error d ->
-        [
-          {
-            e_file = manifest_path;
-            e_status = "error";
-            e_code = Some d.Terra.Diag.code;
-            e_message = Some d.Terra.Diag.message;
-            e_attempts = 0;
-            e_retries = 0;
-            e_backoff = 0;
-            e_fuel = 0;
-            e_fallback = false;
-            e_divergence = None;
-            e_output = "";
-            e_tenant = default_tenant;
-          };
-        ]
-  in
-  (to_json entries, if all_ok entries then 0 else 1)
+  manifest_report manifest_path
+    ~run:(run_requests_par ?config ~jobs ~make_engine)
+    ~profile:(fun () -> None)

@@ -1,9 +1,10 @@
-(** Length- and digest-framed binary blobs.
+(** Length- and digest-framed binary blobs, and the one decoder for
+    marshaled values read back from disk.
 
-    Both persistent formats ([Objfile] object files and [Engine]
-    checkpoints) marshal OCaml values, and [Marshal.from_*] is not safe
-    on corrupted input — it can crash the process.  So every blob on
-    disk is framed as
+    Every persistent format ([Objfile] object files, [Ccache] entries
+    and packs, [Engine] and server checkpoints) marshals OCaml values,
+    and [Marshal.from_*] is not safe on corrupted input — it can crash
+    the process.  So every blob on disk is framed as
 
       magic ++ length (8 bytes LE) ++ MD5 digest (16 bytes) ++ payload
 
@@ -47,3 +48,26 @@ let read_framed ic ~magic : (string, string) result =
                     if not (String.equal (Digest.string payload) digest) then
                       Error "payload digest mismatch (corrupt file)"
                     else Ok payload)))
+
+(** Decode a payload that passed the frame check.  The digest proves
+    only that the bytes are the ones written: a hand-built file can carry
+    a self-consistent digest over bytes that are not a marshaled value,
+    which [Marshal.from_string] rejects by raising. *)
+let unmarshal (payload : string) : ('a, string) result =
+  match Marshal.from_string payload 0 with
+  | v -> Ok v
+  | exception _ -> Error "payload does not unmarshal"
+
+let write_value oc ~magic v = write_framed oc ~magic (Marshal.to_string v [])
+
+let read_value ic ~magic : ('a, string) result =
+  Result.bind (read_framed ic ~magic) unmarshal
+
+(** {!read_value} from the file at [path]. *)
+let load_value ~magic path : ('a, string) result =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error (Printf.sprintf "cannot open (%s)" msg)
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> read_value ic ~magic)

@@ -361,116 +361,23 @@ let key ~(vm : Vm.t) ~(machine : Tmachine.Config.t) ~(intern : string -> int)
 (* ------------------------------------------------------------------ *)
 (* Entry validation — the Objfile hardening discipline for one function.
    The digest frame already rules out accidental corruption; this rules
-   out stale formats and hostile well-formed files whose indices would
-   otherwise reach the VM's unchecked dispatch. *)
-
-exception Bad of string
+   out stale formats and mislabelled entries, and {!Ir.verify} rules out
+   hostile well-formed IR whose indices would otherwise reach the VM's
+   unchecked dispatch. *)
 
 let validate_entry ~(vm : Vm.t) ~(key : string) ~(name : string) (e : entry) :
     (unit, string) result =
-  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
-  try
-    if e.e_version <> format_version then
-      bad "stale format version %d (want %d)" e.e_version format_version;
-    if not (String.equal e.e_key key) then bad "key echo mismatch";
-    if not (String.equal e.e_name name) then
-      bad "entry name %S does not match %S" e.e_name name;
-    let f = e.e_func in
-    if not (String.equal f.Ir.fname name) then
-      bad "function name %S does not match %S" f.Ir.fname name;
-    let nfuncs = vm.Vm.nfuncs and nimports = vm.Vm.nimports in
-    let len = Array.length f.Ir.code in
-    if f.Ir.nparams < 0 || f.Ir.nregs < f.Ir.nparams then
-      bad "bad register counts (%d params, %d regs)" f.Ir.nparams f.Ir.nregs;
-    if f.Ir.frame_bytes < 0 || f.Ir.frame_bytes > 8 * (1 lsl 20) then
-      bad "implausible frame size %d" f.Ir.frame_bytes;
-    if len = 0 then bad "empty body";
-    let reg pc r =
-      if r < 0 || r >= f.Ir.nregs then
-        bad "pc %d: register r%d out of range" pc r
-    in
-    let dst pc = function Some r -> reg pc r | None -> () in
-    let op pc = function Ir.R r -> reg pc r | Ir.Ki _ | Ir.Kf _ -> () in
-    let ops pc l = List.iter (op pc) l in
-    let target pc l =
-      if l < 0 || l >= len then bad "pc %d: jump target %d out of range" pc l
-    in
-    let lanes pc l =
-      if l < 1 || l > 16 then bad "pc %d: bad vector width %d" pc l
-    in
-    Array.iteri
-      (fun pc ins ->
-        match ins with
-        | Ir.Mov (d, a) | Ir.Iun (_, d, a) | Ir.Fun (_, _, d, a) ->
-            reg pc d;
-            op pc a
-        | Ir.Ibin (_, d, a, bb) | Ir.Fbin (_, _, d, a, bb) ->
-            reg pc d;
-            op pc a;
-            op pc bb
-        | Ir.Lea (d, base, i, _, _) ->
-            reg pc d;
-            op pc base;
-            op pc i
-        | Ir.Load (_, d, a) ->
-            reg pc d;
-            op pc a
-        | Ir.Store (_, a, v) ->
-            op pc a;
-            op pc v
-        | Ir.Vload (_, l, d, a) | Ir.Vsplat (_, l, d, a) ->
-            lanes pc l;
-            reg pc d;
-            op pc a
-        | Ir.Vstore (_, l, a, v) ->
-            lanes pc l;
-            op pc a;
-            op pc v
-        | Ir.Vbin (_, l, _, d, a, bb) ->
-            lanes pc l;
-            reg pc d;
-            op pc a;
-            op pc bb
-        | Ir.Vun (_, l, _, d, a) ->
-            lanes pc l;
-            reg pc d;
-            op pc a
-        | Ir.Vextract (d, a, i) ->
-            reg pc d;
-            op pc a;
-            if i < 0 || i >= 16 then bad "pc %d: bad vector lane %d" pc i
-        | Ir.Cvt (_, _, d, a) ->
-            reg pc d;
-            op pc a
-        | Ir.Call (d, target_id, args) ->
-            dst pc d;
-            ops pc args;
-            if target_id < 0 || target_id >= nfuncs then
-              bad "pc %d: call target %d out of range" pc target_id
-        | Ir.Callind (d, fptr, args) ->
-            dst pc d;
-            op pc fptr;
-            ops pc args
-        | Ir.Ccall (d, i, args) ->
-            dst pc d;
-            ops pc args;
-            if i < 0 || i >= nimports then
-              bad "pc %d: import %d out of range" pc i
-        | Ir.Prefetch a -> op pc a
-        | Ir.FrameAddr (d, _) -> reg pc d
-        | Ir.SpillTouch _ -> ()
-        | Ir.Jmp l -> target pc l
-        | Ir.Br (c, a, bb) ->
-            op pc c;
-            target pc a;
-            target pc bb
-        | Ir.Ret a -> Option.iter (op pc) a)
-      f.Ir.code;
-    (match f.Ir.code.(len - 1) with
-    | Ir.Ret _ | Ir.Jmp _ | Ir.Br _ -> ()
-    | _ -> bad "body does not end in a terminator");
-    Ok ()
-  with Bad msg -> Error msg
+  let f = e.e_func in
+  if e.e_version <> format_version then
+    Error
+      (Printf.sprintf "stale format version %d (want %d)" e.e_version
+         format_version)
+  else if not (String.equal e.e_key key) then Error "key echo mismatch"
+  else if not (String.equal e.e_name name) then
+    Error (Printf.sprintf "entry name %S does not match %S" e.e_name name)
+  else if not (String.equal f.Ir.fname name) then
+    Error (Printf.sprintf "function name %S does not match %S" f.Ir.fname name)
+  else Ir.verify ~nfuncs:vm.Vm.nfuncs ~nimports:vm.Vm.nimports f
 
 (* ------------------------------------------------------------------ *)
 (* Lookup / store *)
@@ -489,23 +396,6 @@ let note_bad t what msg =
   t.last_error <- Some rendered;
   Mutex.unlock t.lock;
   rendered
-
-(* Read and unmarshal one entry file.  [Marshal.from_string] is wrapped:
-   the digest frame stops accidental corruption, but a hand-built hostile
-   file can carry a self-consistent digest over a malformed payload. *)
-let read_entry_file path : (entry, string) result =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error (Printf.sprintf "cannot open (%s)" msg)
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match Blobio.read_framed ic ~magic:entry_magic with
-          | Error msg -> Error msg
-          | Ok payload -> (
-              match (Marshal.from_string payload 0 : entry) with
-              | e -> Ok e
-              | exception _ -> Error "unparsable entry payload"))
 
 let mem_find t key =
   Mutex.lock t.lock;
@@ -546,18 +436,14 @@ let lookup t ~(vm : Vm.t) ~(key : string) ~(name : string) : outcome =
           Miss
         end
         else begin
-          match read_entry_file path with
-          | Ok e ->
-              validate_or_bad ~what:path e (fun rendered ->
-                  Atomic.incr t.misses;
-                  Bad_entry rendered)
-          | Error msg ->
-              let rendered = note_bad t path msg in
-              Atomic.incr t.misses;
-              Bad_entry rendered
-          | exception e ->
-              Atomic.incr t.misses;
-              Bad_entry (note_bad t path (Printexc.to_string e))
+          let bad_miss rendered =
+            Atomic.incr t.misses;
+            Bad_entry rendered
+          in
+          match Blobio.load_value ~magic:entry_magic path with
+          | Ok e -> validate_or_bad ~what:path e bad_miss
+          | Error msg -> bad_miss (note_bad t path msg)
+          | exception e -> bad_miss (note_bad t path (Printexc.to_string e))
         end
   in
   match mem_find t key with
@@ -588,7 +474,7 @@ let store t ~(key : string) ~(name : string) (f : Ir.func) : unit =
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
-            Blobio.write_framed oc ~magic:entry_magic (Marshal.to_string e []));
+            Blobio.write_value oc ~magic:entry_magic e);
         Sys.rename tmp final
       with Sys_error msg ->
         Mutex.lock t.lock;
@@ -612,25 +498,15 @@ let save_pack t path : unit =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      Blobio.write_framed oc ~magic:pack_magic
-        (Marshal.to_string (entries : entry list) []))
+      Blobio.write_value oc ~magic:pack_magic (entries : entry list))
 
 (** Load a pack into the overlay.  Damaged packs are an [Error] (never an
     exception); individual entries are fully validated only at lookup,
     where the owning engine's bounds are known — a hostile pack entry
     degrades to [ccache.bad-entry] + recompile, like a hostile file. *)
 let load_pack t path : (int, string) result =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error (Printf.sprintf "cannot open (%s)" msg)
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match Blobio.read_framed ic ~magic:pack_magic with
-          | Error msg -> Error msg
-          | Ok payload -> (
-              match (Marshal.from_string payload 0 : entry list) with
-              | entries ->
-                  List.iter (fun e -> mem_replace t e.e_key e) entries;
-                  Ok (List.length entries)
-              | exception _ -> Error "unparsable pack payload"))
+  match Blobio.load_value ~magic:pack_magic path with
+  | Error msg -> Error msg
+  | Ok (entries : entry list) ->
+      List.iter (fun e -> mem_replace t e.e_key e) entries;
+      Ok (List.length entries)

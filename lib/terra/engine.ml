@@ -418,18 +418,17 @@ let ckpt_magic = "TERRACKPT1\n"
 (** Serialize the engine's full session to a channel, digest-framed (see
     {!Blobio}) so corruption is detected before unmarshaling. *)
 let checkpoint (t : t) (oc : out_channel) : unit =
-  Blobio.write_framed oc ~magic:ckpt_magic (Marshal.to_string (snap t) [])
+  Blobio.write_value oc ~magic:ckpt_magic (snap t)
 
 (** Load a checkpoint into a fresh engine built by [make] (the same
-    factory that built the captured engine).  Frame or configuration
-    damage is a structured [ckpt.bad-file]; a fingerprint mismatch after
-    restore is [recover.fingerprint-mismatch]. *)
+    factory that built the captured engine).  A damaged frame or a
+    payload that does not decode is a structured [ckpt.bad-file]; a
+    fingerprint mismatch after restore is [recover.fingerprint-mismatch]. *)
 let restore ~(make : unit -> t) (ic : in_channel) : t =
-  match Blobio.read_framed ic ~magic:ckpt_magic with
+  match Blobio.read_value ic ~magic:ckpt_magic with
   | Error msg ->
       Diag.error ~phase:Diag.Run ~code:"ckpt.bad-file" "checkpoint: %s" msg
-  | Ok blob ->
-      let s : snapshot = Marshal.from_string blob 0 in
+  | Ok (s : snapshot) ->
       let t = make () in
       restore_snap t s;
       t

@@ -136,8 +136,7 @@ let build (fns : (string * Func.t) list) : obj =
 (** Write an already-built object to a channel.  Exposed (rather than
     only [save]) so the corruption-fuzz tests can persist hand-crafted
     hostile objects and prove {!load_file} rejects them. *)
-let write_channel oc (obj : obj) =
-  Blobio.write_framed oc ~magic (Marshal.to_string obj [])
+let write_channel oc (obj : obj) = Blobio.write_value oc ~magic obj
 
 let save path fns =
   let obj = build fns in
@@ -153,8 +152,8 @@ let bad_file path fmt =
 (* Structural validation of an unmarshaled object.  The digest frame
    already rules out accidental corruption; this pass rules out hostile
    or buggy well-formed files whose indices would otherwise reach the
-   VM's unchecked dispatch (function ids, import ids, register numbers,
-   jump targets, reloc offsets). *)
+   VM's unchecked dispatch: {!Ir.verify} checks each function, and the
+   object-level checks below cover statics, exports and relocs. *)
 let validate path (obj : obj) =
   let nfuncs = Array.length obj.o_funcs in
   let nimports = Array.length obj.o_imports in
@@ -168,108 +167,9 @@ let validate path (obj : obj) =
       obj.o_statics_len;
   Array.iteri
     (fun fid (f : Ir.func) ->
-      let where fmt =
-        Printf.ksprintf (fun s -> Printf.sprintf "function %d (%s): %s" fid f.Ir.fname s) fmt
-      in
-      let len = Array.length f.Ir.code in
-      if f.Ir.nparams < 0 || f.Ir.nregs < f.Ir.nparams then
-        bad_file path "%s"
-          (where "bad register counts (%d params, %d regs)" f.Ir.nparams
-             f.Ir.nregs);
-      if f.Ir.frame_bytes < 0 || f.Ir.frame_bytes > 8 * (1 lsl 20) then
-        bad_file path "%s" (where "implausible frame size %d" f.Ir.frame_bytes);
-      if len = 0 then bad_file path "%s" (where "empty body");
-      let reg pc r =
-        if r < 0 || r >= f.Ir.nregs then
-          bad_file path "%s" (where "pc %d: register r%d out of range" pc r)
-      in
-      let dst pc = function Some r -> reg pc r | None -> () in
-      let op pc = function Ir.R r -> reg pc r | Ir.Ki _ | Ir.Kf _ -> () in
-      let ops pc l = List.iter (op pc) l in
-      let target pc l =
-        if l < 0 || l >= len then
-          bad_file path "%s" (where "pc %d: jump target %d out of range" pc l)
-      in
-      let lanes pc l =
-        if l < 1 || l > 16 then
-          bad_file path "%s" (where "pc %d: bad vector width %d" pc l)
-      in
-      Array.iteri
-        (fun pc ins ->
-          match ins with
-          | Ir.Mov (d, a) | Ir.Iun (_, d, a) | Ir.Fun (_, _, d, a) ->
-              reg pc d;
-              op pc a
-          | Ir.Ibin (_, d, a, b) | Ir.Fbin (_, _, d, a, b) ->
-              reg pc d;
-              op pc a;
-              op pc b
-          | Ir.Lea (d, b, i, _, _) ->
-              reg pc d;
-              op pc b;
-              op pc i
-          | Ir.Load (_, d, a) ->
-              reg pc d;
-              op pc a
-          | Ir.Store (_, a, v) ->
-              op pc a;
-              op pc v
-          | Ir.Vload (_, l, d, a) | Ir.Vsplat (_, l, d, a) ->
-              lanes pc l;
-              reg pc d;
-              op pc a
-          | Ir.Vstore (_, l, a, v) ->
-              lanes pc l;
-              op pc a;
-              op pc v
-          | Ir.Vbin (_, l, _, d, a, b) ->
-              lanes pc l;
-              reg pc d;
-              op pc a;
-              op pc b
-          | Ir.Vun (_, l, _, d, a) ->
-              lanes pc l;
-              reg pc d;
-              op pc a
-          | Ir.Vextract (d, a, i) ->
-              reg pc d;
-              op pc a;
-              if i < 0 || i >= 16 then
-                bad_file path "%s" (where "pc %d: bad vector lane %d" pc i)
-          | Ir.Cvt (_, _, d, a) ->
-              reg pc d;
-              op pc a
-          | Ir.Call (d, target_id, args) ->
-              dst pc d;
-              ops pc args;
-              if target_id < 0 || target_id >= nfuncs then
-                bad_file path "%s"
-                  (where "pc %d: call target %d out of range" pc target_id)
-          | Ir.Callind (d, fptr, args) ->
-              dst pc d;
-              op pc fptr;
-              ops pc args
-          | Ir.Ccall (d, i, args) ->
-              dst pc d;
-              ops pc args;
-              if i < 0 || i >= nimports then
-                bad_file path "%s"
-                  (where "pc %d: import %d out of range" pc i)
-          | Ir.Prefetch a -> op pc a
-          | Ir.FrameAddr (d, _) -> reg pc d
-          | Ir.SpillTouch _ -> ()
-          | Ir.Jmp l -> target pc l
-          | Ir.Br (c, a, b) ->
-              op pc c;
-              target pc a;
-              target pc b
-          | Ir.Ret a -> Option.iter (op pc) a)
-        f.Ir.code;
-      (* the interpreter falls off the end of a body whose last
-         instruction is not a terminator: require one *)
-      match f.Ir.code.(len - 1) with
-      | Ir.Ret _ | Ir.Jmp _ | Ir.Br _ -> ()
-      | _ -> bad_file path "%s" (where "body does not end in a terminator"))
+      match Ir.verify ~nfuncs ~nimports f with
+      | Ok () -> ()
+      | Error msg -> bad_file path "function %d (%s): %s" fid f.Ir.fname msg)
     obj.o_funcs;
   List.iter
     (fun (name, id) ->
@@ -285,19 +185,11 @@ let validate path (obj : obj) =
     obj.o_relocs
 
 let load_file path : obj =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> bad_file path "cannot open (%s)" msg
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      match Blobio.read_framed ic ~magic with
-      | Error msg -> bad_file path "%s" msg
-      | Ok payload ->
-          let obj : obj = Marshal.from_string payload 0 in
-          validate path obj;
-          obj)
+  match Blobio.load_value ~magic path with
+  | Error msg -> bad_file path "%s" msg
+  | Ok obj ->
+      validate path obj;
+      obj
 
 (** Load an object into a fresh VM (no Lua anywhere) and return the VM
     plus export name → function id. *)

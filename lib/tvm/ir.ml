@@ -171,3 +171,91 @@ let pp_func ppf f =
     (fun i ins -> Format.fprintf ppf "  %3d: %a@," i pp_instr ins)
     f.code;
   Format.fprintf ppf "@]"
+
+(** Structural check of one function against the tables it will run
+    beside: register numbers below [nregs], jump targets inside the body,
+    call targets below [nfuncs], import indices below [nimports], vector
+    widths and lanes in range, and a terminator last (the interpreter
+    falls off the end of a body that lacks one).  The VM dispatches these
+    indices unchecked, so IR from outside the process — object files and
+    cache entries — must pass this before it is installed. *)
+let verify ~nfuncs ~nimports (f : func) : (unit, string) result =
+  let exception Invalid of string in
+  let len = Array.length f.code in
+  let pc = ref 0 in
+  let bad fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt in
+  let reg r =
+    if r < 0 || r >= f.nregs then bad "pc %d: register r%d out of range" !pc r
+  in
+  let op = function R r -> reg r | Ki _ | Kf _ -> () in
+  let target l =
+    if l < 0 || l >= len then bad "pc %d: jump target %d out of range" !pc l
+  in
+  let lanes l = if l < 1 || l > 16 then bad "pc %d: bad vector width %d" !pc l in
+  let instr = function
+    | Mov (d, a) | Iun (_, d, a) | Fun (_, _, d, a) | Load (_, d, a)
+    | Cvt (_, _, d, a) ->
+        reg d;
+        op a
+    | Ibin (_, d, a, b) | Fbin (_, _, d, a, b) | Lea (d, a, b, _, _) ->
+        reg d;
+        op a;
+        op b
+    | Store (_, a, v) ->
+        op a;
+        op v
+    | Vload (_, l, d, a) | Vsplat (_, l, d, a) | Vun (_, l, _, d, a) ->
+        lanes l;
+        reg d;
+        op a
+    | Vstore (_, l, a, v) ->
+        lanes l;
+        op a;
+        op v
+    | Vbin (_, l, _, d, a, b) ->
+        lanes l;
+        reg d;
+        op a;
+        op b
+    | Vextract (d, a, i) ->
+        reg d;
+        op a;
+        if i < 0 || i >= 16 then bad "pc %d: bad vector lane %d" !pc i
+    | Call (d, id, args) ->
+        Option.iter reg d;
+        List.iter op args;
+        if id < 0 || id >= nfuncs then
+          bad "pc %d: call target %d out of range" !pc id
+    | Callind (d, fptr, args) ->
+        Option.iter reg d;
+        List.iter op (fptr :: args)
+    | Ccall (d, i, args) ->
+        Option.iter reg d;
+        List.iter op args;
+        if i < 0 || i >= nimports then bad "pc %d: import %d out of range" !pc i
+    | Prefetch a -> op a
+    | FrameAddr (d, _) -> reg d
+    | SpillTouch _ -> ()
+    | Jmp l -> target l
+    | Br (c, a, b) ->
+        op c;
+        target a;
+        target b
+    | Ret a -> Option.iter op a
+  in
+  try
+    if f.nparams < 0 || f.nregs < f.nparams then
+      bad "bad register counts (%d params, %d regs)" f.nparams f.nregs;
+    if f.frame_bytes < 0 || f.frame_bytes > 8 * (1 lsl 20) then
+      bad "implausible frame size %d" f.frame_bytes;
+    if len = 0 then bad "empty body";
+    Array.iteri
+      (fun i ins ->
+        pc := i;
+        instr ins)
+      f.code;
+    (match f.code.(len - 1) with
+    | Ret _ | Jmp _ | Br _ -> ()
+    | _ -> bad "body does not end in a terminator");
+    Ok ()
+  with Invalid msg -> Error msg

@@ -13,6 +13,19 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(** A {!Blobio} frame with a valid digest over bytes that are not a
+    marshaled value: it passes every frame check, so only the decoder
+    can reject it. *)
+let unmarshalable_frame ~magic =
+  let path = Filename.temp_file "terra-frame" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      Blobio.write_framed oc ~magic "junk";
+      close_out oc;
+      read_file path)
+
 (* cwd at test time is _build/default/test; (deps ...) in test/dune
    stages sources into the build tree at their original relative paths *)
 

@@ -147,7 +147,9 @@ let engine_tests =
             expect_bad "flipped-header" (flip_byte blob 2);
             expect_bad "truncated"
               (String.sub blob 0 (String.length blob / 2));
-            expect_bad "empty" ""));
+            expect_bad "empty" "";
+            expect_bad "unmarshalable-payload"
+              (Harness.unmarshalable_frame ~magic:Engine.ckpt_magic)));
   ]
 
 (* ------------------------------------------------------------------ *)

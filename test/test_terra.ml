@@ -781,6 +781,8 @@ let objfile_tests =
           (hostile_obj ~statics:"abcd" ~relocs:[ (100, 0) ] [ ret0 ]);
         expect_bad_file "statics beyond the region"
           (hostile_obj ~statics:(String.make (1 lsl 20) 'x') [ ret0 ]);
+        expect_bad_file "digest-valid frame over a non-value"
+          (Harness.unmarshalable_frame ~magic:Objfile.magic);
         (* and a well-formed hand-built object still loads *)
         let path = Filename.temp_file "terra_fuzz" ".tobj" in
         Fun.protect

@@ -303,6 +303,21 @@ let run_at ?(checked = false) ~opt_level src name =
   let tag =
     match r with Ok _ -> "ok" | Error d -> "error:" ^ d.Terra.Diag.code
   in
+  (* the structural verifier on everything the program compiled: Compile's
+     output at opt 0, Topt's at opt 2.  Declared-but-undefined slots
+     ([<unset:N>]) have no body to check. *)
+  let vm = e.Terra.Engine.ctx.Terra.Context.vm in
+  for id = 0 to vm.Vm.nfuncs - 1 do
+    let f = Vm.func vm id in
+    if Array.length f.Ir.code > 0 then
+      match
+        Ir.verify ~nfuncs:vm.Vm.nfuncs ~nimports:vm.Vm.nimports f
+      with
+      | Ok () -> ()
+      | Error msg ->
+          Alcotest.failf "%s at opt %d: function %d (%s) fails Ir.verify: %s"
+            name opt_level id f.Ir.fname msg
+  done;
   (out, tag, Terra.Engine.fuel_used e)
 
 let check_differential ?checked path () =

@@ -21,6 +21,23 @@ if [ -n "$strays" ]; then
   exit 1
 fi
 
+echo "== one page ledger =="
+# Engine state is digested, imaged and reset only through Tvm.Pages, so
+# its cost follows the pages a request touches: a whole-buffer digest or
+# fill elsewhere in lib/tvm, or raw arena access anywhere in lib/, fails
+# here.
+strays=$( {
+  grep -rnE --include='*.ml' \
+    'Digest\.(bytes|subbytes)|Bytes\.fill +[^ ]+ +0 +\(Bytes\.length' lib/tvm \
+    | grep -v '^lib/tvm/pages\.ml:'
+  grep -rnE --include='*.ml' --include='*.mli' 'unsafe_bytes|unsafe_map' lib
+} || true)
+if [ -n "$strays" ]; then
+  echo "$strays" >&2
+  echo "engine state handled outside Tvm.Pages" >&2
+  exit 1
+fi
+
 echo "== build =="
 dune build @all
 

@@ -81,7 +81,7 @@ let gen_of_name f =
   in
   match num "ckpt-" "" with Some g -> Some g | None -> num "wal-" ".log"
 
-let ckpt_magic = "TERRASRV1\n"
+let ckpt_magic = "TERRASRV2\n"
 
 (* ------------------------------------------------------------------ *)
 (* Durability events *)

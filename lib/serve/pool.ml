@@ -114,8 +114,12 @@ let checkout_pinned t id =
   Mutex.unlock t.mutex;
   s
 
+(* The replaced engine's arena is garbage the moment the slot lets go of
+   it, but a major GC paced by the (small) OCaml heap can leave several
+   such arenas resident at a high request rate; collect it right away. *)
 let recycle t (s : slot) =
   s.eng <- t.make ();
+  Gc.full_major ();
   s.served <- 0;
   s.recycles <- s.recycles + 1
 

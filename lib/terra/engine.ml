@@ -413,7 +413,7 @@ let restore_snap (t : t) (s : snapshot) : unit =
       "restored session fingerprint %s does not match checkpointed %s" fp
       s.snap_fingerprint
 
-let ckpt_magic = "TERRACKPT1\n"
+let ckpt_magic = "TERRACKPT2\n"
 
 (** Serialize the engine's full session to a channel, digest-framed (see
     {!Blobio}) so corruption is detected before unmarshaling. *)

@@ -1,25 +1,21 @@
 exception Fault of int * string
 
-(* Transactional journal: page-granular copy-on-write.  The first store
-   touching a page inside a transaction saves the page's pre-image;
-   rollback blits the pre-images back.  Statics bump-allocated *during*
-   the transaction (addresses at or above [tx_statics_floor]) are
-   compile-time artifacts — interned strings, vtables — and are monotone
-   like compiled code, so pages wholly above the floor are never
-   journaled and the floor page is only restored below the floor. *)
-type txn = {
-  tx_pages : (int, Bytes.t) Hashtbl.t;  (** page index -> pre-image *)
-  tx_statics_floor : int;  (** statics_ptr when the txn began *)
-}
+(* Arena bytes live in a {!Pages} ledger, which owns the write hook,
+   the copy-on-write transaction journal and the page-granular state
+   operations.  Mem adds only the statics-floor rule: statics
+   bump-allocated *during* a transaction (addresses at or above the
+   statics pointer when it began) are compile-time artifacts — interned
+   strings, vtables — and are monotone like compiled code, so a rollback
+   keeps them. *)
+type txn = Pages.txn
 
 type t = {
-  bytes : Bytes.t;
+  pages : Pages.t;
   mutable statics_ptr : int;
   heap_base : int;
   heap_limit : int;
   stack_top : int;
   mutable shadow : Shadow.t option;  (** present iff checked mode is on *)
-  mutable txn : txn option;  (** active transaction, if any *)
   mutable probe : Tprof.Probe.t option;  (** profiler, if attached *)
 }
 
@@ -31,96 +27,43 @@ let stack_bytes = 8 * (1 lsl 20)
 let create ?(bytes = default_bytes) () =
   let bytes = max bytes (statics_limit + stack_bytes + (1 lsl 20)) in
   {
-    bytes = Bytes.make bytes '\000';
+    pages = Pages.create bytes;
     statics_ptr = statics_base;
     heap_base = statics_limit;
     heap_limit = bytes - stack_bytes;
     stack_top = bytes;
     shadow = None;
-    txn = None;
     probe = None;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Transactions *)
 
-let page_bits = 12
-let page_size = 1 lsl page_bits
-
-(** Save the pre-image of every page overlapping [addr, addr+len) that a
-    rollback would need.  Called before every mutation. *)
-let note t addr len =
-  match t.txn with
-  | None -> ()
-  | Some tx ->
-      if len > 0 && addr >= 0 then begin
-        let last = min (addr + len - 1) (Bytes.length t.bytes - 1) in
-        for p = addr lsr page_bits to last lsr page_bits do
-          let page_start = p lsl page_bits in
-          (* fresh statics are monotone: skip pages wholly above the floor *)
-          if
-            not
-              (page_start >= tx.tx_statics_floor
-              && page_start + page_size <= statics_limit)
-            && not (Hashtbl.mem tx.tx_pages p)
-          then
-            let plen = min page_size (Bytes.length t.bytes - page_start) in
-            Hashtbl.add tx.tx_pages p (Bytes.sub t.bytes page_start plen)
-        done
-      end
-
-let begin_txn t =
-  if t.txn <> None then invalid_arg "Mem.begin_txn: transaction already active";
-  let tx =
-    { tx_pages = Hashtbl.create 64; tx_statics_floor = t.statics_ptr }
-  in
-  t.txn <- Some tx;
-  tx
-
-let in_txn t = t.txn <> None
+let begin_txn t = Pages.begin_txn t.pages ~keep:(t.statics_ptr, statics_limit)
+let in_txn t = Pages.in_txn t.pages
 let statics_mark t = t.statics_ptr
-
-let rollback t tx =
-  Hashtbl.iter
-    (fun p img ->
-      let page_start = p lsl page_bits in
-      let len = Bytes.length img in
-      (* the page containing the statics floor: restore only the old part *)
-      let len =
-        if page_start < tx.tx_statics_floor
-           && page_start + len > tx.tx_statics_floor
-           && tx.tx_statics_floor < statics_limit
-        then tx.tx_statics_floor - page_start
-        else len
-      in
-      Bytes.blit img 0 t.bytes page_start len)
-    tx.tx_pages;
-  t.txn <- None
-
-let commit t (_ : txn) = t.txn <- None
+let rollback t tx = Pages.rollback t.pages tx
+let commit t tx = Pages.commit t.pages tx
 
 (** Digest of the transactional portion of the arena: statics below
-    [statics_upto] (monotone compile-time statics above it are excluded)
-    plus the heap and stack.  Two equal fingerprints mean the session
-    data state is byte-identical. *)
+    [statics_upto] verbatim (monotone compile-time statics above it are
+    excluded), combined with the digests of the non-zero heap and stack
+    pages (see {!Pages.digest}).  Two equal fingerprints mean the
+    session data state is byte-identical. *)
 let fingerprint ?statics_upto t =
   let upto =
     match statics_upto with
     | Some n -> min n statics_limit
     | None -> t.statics_ptr
   in
-  let d1 = Digest.subbytes t.bytes 0 (max 0 upto) in
-  let d2 =
-    Digest.subbytes t.bytes statics_limit (Bytes.length t.bytes - statics_limit)
-  in
-  Digest.to_hex (Digest.string (d1 ^ d2))
+  Digest.to_hex (Pages.digest t.pages ~prefix:(max 0 upto) ~from:statics_limit)
 
 let attach_shadow t sh = t.shadow <- Some sh
 let shadow t = t.shadow
 let checked t = t.shadow <> None
 let set_probe t p = t.probe <- Some p
 
-let size t = Bytes.length t.bytes
+let size t = Pages.length t.pages
 let heap_base t = t.heap_base
 let heap_limit t = t.heap_limit
 let stack_top t = t.stack_top
@@ -138,7 +81,7 @@ let alloc_static t ~align n =
    a huge [len] cannot wrap [addr + len] around. *)
 let check t addr len what =
   if len < 0 then raise (Fault (addr, what ^ " (negative length)"));
-  if addr < statics_base || addr > Bytes.length t.bytes - len then
+  if addr < statics_base || addr > Pages.length t.pages - len then
     raise (Fault (addr, what));
   match t.shadow with
   | None -> ()
@@ -150,7 +93,7 @@ let check t addr len what =
 
 let get_u8 t a =
   check t a 1 "load u8";
-  Char.code (Bytes.unsafe_get t.bytes a)
+  Char.code (Pages.get t.pages a)
 
 let get_i8 t a =
   let v = get_u8 t a in
@@ -158,42 +101,38 @@ let get_i8 t a =
 
 let get_u16 t a =
   check t a 2 "load u16";
-  Bytes.get_uint16_le t.bytes a
+  Pages.get_u16 t.pages a
 
 let get_i16 t a =
   check t a 2 "load i16";
-  Bytes.get_int16_le t.bytes a
+  Pages.get_i16 t.pages a
 
 let get_i32 t a =
   check t a 4 "load i32";
-  Bytes.get_int32_le t.bytes a
+  Pages.get_i32 t.pages a
 
 let get_i64 t a =
   check t a 8 "load i64";
-  Bytes.get_int64_le t.bytes a
+  Pages.get_i64 t.pages a
 
 let get_f32 t a = Int32.float_of_bits (get_i32 t a)
 let get_f64 t a = Int64.float_of_bits (get_i64 t a)
 
 let set_u8 t a v =
   check t a 1 "store u8";
-  note t a 1;
-  Bytes.unsafe_set t.bytes a (Char.unsafe_chr (v land 0xff))
+  Pages.set t.pages a (Char.unsafe_chr (v land 0xff))
 
 let set_u16 t a v =
   check t a 2 "store u16";
-  note t a 2;
-  Bytes.set_uint16_le t.bytes a (v land 0xffff)
+  Pages.set_u16 t.pages a (v land 0xffff)
 
 let set_i32 t a v =
   check t a 4 "store i32";
-  note t a 4;
-  Bytes.set_int32_le t.bytes a v
+  Pages.set_i32 t.pages a v
 
 let set_i64 t a v =
   check t a 8 "store i64";
-  note t a 8;
-  Bytes.set_int64_le t.bytes a v
+  Pages.set_i64 t.pages a v
 
 let set_f32 t a v = set_i32 t a (Int32.bits_of_float v)
 let set_f64 t a v = set_i64 t a (Int64.bits_of_float v)
@@ -201,13 +140,11 @@ let set_f64 t a v = set_i64 t a (Int64.bits_of_float v)
 let blit t ~src ~dst ~len =
   check t src len "memcpy src";
   check t dst len "memcpy dst";
-  note t dst len;
-  Bytes.blit t.bytes src t.bytes dst len
+  Pages.blit t.pages ~src ~dst ~len
 
 let fill t addr len c =
   check t addr len "memset";
-  note t addr len;
-  Bytes.fill t.bytes addr len c
+  Pages.fill t.pages addr len c
 
 (* A C string that long is a bug, not data: stop scanning instead of
    walking the rest of the arena. *)
@@ -234,22 +171,23 @@ let get_cstring t addr =
 (** Fault-injection entry: silently corrupt one byte, bypassing all
     checks — models a flipped bit in an unchecked heap. *)
 let corrupt_byte t addr =
-  if addr >= 0 && addr < Bytes.length t.bytes then begin
-    note t addr 1;
-    Bytes.set t.bytes addr '\xA5'
-  end
+  if addr >= 0 && addr < Pages.length t.pages then
+    Pages.set t.pages addr '\xA5'
 
 let set_cstring t addr s =
   check t addr (String.length s + 1) "store string";
-  note t addr (String.length s);
-  Bytes.blit_string s 0 t.bytes addr (String.length s);
+  Pages.blit_string s t.pages addr;
   set_u8 t (addr + String.length s) 0
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint support *)
 
-(* The checkpoint layer (Session) serializes and restores the arena
-   wholesale; it needs raw access that bypasses bounds and shadow
-   checks.  The returned bytes alias the live arena. *)
-let unsafe_bytes t = t.bytes
-let set_statics_ptr t p = t.statics_ptr <- p
+(** The checkpoint image: statics [\[0, statics_ptr)] verbatim and the
+    non-zero pages of [\[heap_base, size)]. *)
+let image t =
+  ( Pages.sub_string t.pages 0 t.statics_ptr,
+    Pages.image t.pages ~from:t.heap_base )
+
+let load t ~statics_ptr ~statics pages =
+  Pages.load t.pages ~prefix:statics pages;
+  t.statics_ptr <- statics_ptr

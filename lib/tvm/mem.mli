@@ -8,9 +8,9 @@ exception Fault of int * string
 
 type t
 
-(** An open transaction: page-granular copy-on-write pre-images of every
-    mutated page, begun with {!begin_txn} and finished with exactly one
-    of {!rollback} or {!commit}. *)
+(** An open transaction ({!Pages.txn} under the statics-floor rule),
+    begun with {!begin_txn} and finished with exactly one of {!rollback}
+    or {!commit}. *)
 type txn
 
 val create : ?bytes:int -> unit -> t
@@ -36,8 +36,11 @@ val commit : t -> txn -> unit
     fingerprint exactly the state that a rollback restores. *)
 val statics_mark : t -> int
 
-(** Hex digest of the transactional portion of the arena (statics below
-    [statics_upto], the heap, and the stack). *)
+(** Hex digest of the transactional portion of the arena: statics below
+    [statics_upto] verbatim, combined with the per-page digests of the
+    non-zero heap and stack pages ({!Pages.digest}).  Costs O(pages
+    written since the last fingerprint), not O(arena), and depends only
+    on the bytes, never on the write history. *)
 val fingerprint : ?statics_upto:int -> t -> string
 
 (** Attach a TerraSan shadow map; every subsequent access is checked
@@ -88,9 +91,12 @@ val corrupt_byte : t -> int -> unit
 (** Write [s] plus a terminating NUL at [addr]. *)
 val set_cstring : t -> int -> string -> unit
 
-(** Raw arena access for the checkpoint layer ({!Session}) only: the
-    returned bytes alias the live arena and bypass every check. *)
-val unsafe_bytes : t -> Bytes.t
+(** Checkpoint image for {!Session}: statics [\[0, statics_mark)]
+    verbatim and the non-zero 4 KiB pages of [\[heap_base, size)] as
+    [(offset, bytes)], sorted by offset.  O(touched pages). *)
+val image : t -> string * (int * string) list
 
-(** Reset the statics bump pointer to a checkpointed position. *)
-val set_statics_ptr : t -> int -> unit
+(** Reset the arena to a checkpoint {!image} over zeros and the statics
+    bump pointer to [statics_ptr].  Only pages that may be non-zero are
+    zeroed.  Raises [Invalid_argument] inside a transaction. *)
+val load : t -> statics_ptr:int -> statics:string -> (int * string) list -> unit

@@ -42,12 +42,12 @@ let state_of_chr = function
   | '\003' -> Redzone
   | _ -> Unaddressable
 
-(* Shadow-map transaction: page-CoW pre-images of mutated shadow pages
-   plus full copies of the (small) block registries, mirroring
-   {!Mem.txn} so a rollback restores the sanitizer's view of the heap
-   exactly alongside the heap bytes themselves. *)
+(* Shadow-map transaction: the map's {!Pages} journal plus full copies
+   of the (small) block registries, so a rollback restores the
+   sanitizer's view of the heap exactly alongside the heap bytes
+   themselves. *)
 type txn = {
-  tx_pages : (int, Bytes.t) Hashtbl.t;  (** map page index -> pre-image *)
+  tx_pages : Pages.txn;
   tx_live : (int, int * int * int) Hashtbl.t;
   tx_freed : (int, int * int * int) Hashtbl.t;
 }
@@ -55,21 +55,19 @@ type txn = {
 type t = {
   base : int;
   limit : int;
-  map : Bytes.t;
+  map : Pages.t;  (** one state byte per heap byte, at [addr - base] *)
   live : (int, int * int * int) Hashtbl.t;
       (** payload -> (requested size, block lo, block hi) *)
   freed : (int, int * int * int) Hashtbl.t;  (** quarantined blocks *)
-  mutable txn : txn option;
 }
 
 let create ~base ~limit =
   {
     base;
     limit;
-    map = Bytes.make (limit - base) chr_unaddressable;
+    map = Pages.create (limit - base);
     live = Hashtbl.create 64;
     freed = Hashtbl.create 64;
-    txn = None;
   }
 
 let base t = t.base
@@ -77,58 +75,34 @@ let limit t = t.limit
 let covers t addr = addr >= t.base && addr < t.limit
 
 let state_at t addr =
-  if covers t addr then state_of_chr (Bytes.get t.map (addr - t.base))
+  if covers t addr then state_of_chr (Pages.get t.map (addr - t.base))
   else Addressable
 
 (* ------------------------------------------------------------------ *)
 (* Transactions *)
 
-let page_bits = 12
-let page_size = 1 lsl page_bits
-
-(* [lo, hi) are map offsets (address - base). *)
-let note t lo hi =
-  match t.txn with
-  | None -> ()
-  | Some tx ->
-      if hi > lo then
-        for p = lo lsr page_bits to (hi - 1) lsr page_bits do
-          if not (Hashtbl.mem tx.tx_pages p) then begin
-            let page_start = p lsl page_bits in
-            let plen = min page_size (Bytes.length t.map - page_start) in
-            Hashtbl.add tx.tx_pages p (Bytes.sub t.map page_start plen)
-          end
-        done
-
 let begin_txn t =
-  if t.txn <> None then
-    invalid_arg "Shadow.begin_txn: transaction already active";
-  let tx =
-    {
-      tx_pages = Hashtbl.create 64;
-      tx_live = Hashtbl.copy t.live;
-      tx_freed = Hashtbl.copy t.freed;
-    }
-  in
-  t.txn <- Some tx;
-  tx
+  {
+    tx_pages = Pages.begin_txn t.map;
+    tx_live = Hashtbl.copy t.live;
+    tx_freed = Hashtbl.copy t.freed;
+  }
 
 let restore_tbl dst src =
   Hashtbl.reset dst;
   Hashtbl.iter (Hashtbl.replace dst) src
 
 let rollback t tx =
-  Hashtbl.iter
-    (fun p img -> Bytes.blit img 0 t.map (p lsl page_bits) (Bytes.length img))
-    tx.tx_pages;
+  Pages.rollback t.map tx.tx_pages;
   restore_tbl t.live tx.tx_live;
-  restore_tbl t.freed tx.tx_freed;
-  t.txn <- None
+  restore_tbl t.freed tx.tx_freed
 
-let commit t (_ : txn) = t.txn <- None
+let commit t tx = Pages.commit t.map tx.tx_pages
 
-(** Hex digest of the whole sanitizer state: the per-byte map plus the
-    sorted live and quarantined block registries. *)
+(** Hex digest of the whole sanitizer state: the per-page digests of the
+    non-zero pages of the map ({!Pages.digest}, so O(pages marked since
+    the last fingerprint)) plus the sorted live and quarantined block
+    registries. *)
 let fingerprint t =
   let tbl name tbl =
     let rows =
@@ -141,15 +115,13 @@ let fingerprint t =
   in
   Digest.to_hex
     (Digest.string
-       (Digest.bytes t.map ^ tbl "L" t.live ^ tbl "F" t.freed))
+       (Pages.digest t.map ~prefix:0 ~from:0
+       ^ tbl "L" t.live ^ tbl "F" t.freed))
 
 let mark t ~addr ~len st =
   if len > 0 then begin
     let lo = max addr t.base and hi = min (addr + len) t.limit in
-    if hi > lo then begin
-      note t (lo - t.base) (hi - t.base);
-      Bytes.fill t.map (lo - t.base) (hi - lo) (chr_of_state st)
-    end
+    if hi > lo then Pages.fill t.map (lo - t.base) (hi - lo) (chr_of_state st)
   end
 
 (** Fault-injection entry: make one byte unaddressable so the next
@@ -204,10 +176,10 @@ let check t ~what ~addr ~len =
   let hi = min (addr + len) t.limit in
   let i = ref lo in
   while !i < hi do
-    if Bytes.unsafe_get t.map (!i - t.base) <> chr_addressable then begin
+    if Pages.get t.map (!i - t.base) <> chr_addressable then begin
       let bad = !i in
       let kind =
-        match state_of_chr (Bytes.get t.map (bad - t.base)) with
+        match state_of_chr (Pages.get t.map (bad - t.base)) with
         | Redzone -> Heap_overflow
         | Freed -> Use_after_free
         | _ -> Oob
@@ -257,9 +229,8 @@ let describe v =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint support *)
 
-(* Raw access to the per-byte map for the checkpoint layer; the returned
-   bytes alias the live map. *)
-let unsafe_map t = t.map
+(** The non-zero pages of the map as [(offset, bytes)], sorted. *)
+let image t = Pages.image t.map ~from:0
 
 let entries t =
   let dump tbl =
@@ -267,7 +238,8 @@ let entries t =
   in
   (dump t.live, dump t.freed)
 
-let set_entries t ~live ~freed =
+let load t pages ~live ~freed =
+  Pages.load t.map ~prefix:"" pages;
   Hashtbl.reset t.live;
   List.iter (fun (k, v) -> Hashtbl.replace t.live k v) live;
   Hashtbl.reset t.freed;

@@ -25,14 +25,15 @@ exception Violation of violation
 
 type t
 
-(** An open shadow-state transaction (see {!Mem.txn}): page-CoW
-    pre-images of the per-byte map plus copies of the block registries. *)
+(** An open shadow-state transaction (see {!Mem.txn}): the per-byte
+    map's {!Pages} journal plus copies of the block registries. *)
 type txn
 
 (** Shadow the heap region [\[base, limit)]. *)
 val create : base:int -> limit:int -> t
 
-(** Start journaling shadow mutations; does not nest. *)
+(** Start journaling shadow mutations; does not nest (raises
+    [Invalid_argument]). *)
 val begin_txn : t -> txn
 
 (** Restore the map and both block registries to their pre-transaction
@@ -41,7 +42,9 @@ val rollback : t -> txn -> unit
 
 val commit : t -> txn -> unit
 
-(** Hex digest of the map plus the sorted block registries. *)
+(** Hex digest of the per-page digests of the map's non-zero pages
+    ({!Pages.digest}: O(pages marked since the last fingerprint),
+    history-independent) plus the sorted block registries. *)
 val fingerprint : t -> string
 
 val base : t -> int
@@ -80,18 +83,21 @@ val kind_code : kind -> string
 (** Human-readable one-line description of a violation. *)
 val describe : violation -> string
 
-(** Raw access to the per-byte map for the checkpoint layer ({!Session})
-    only; the returned bytes alias the live map. *)
-val unsafe_map : t -> Bytes.t
+(** Checkpoint image of the per-byte map for {!Session}: its non-zero
+    4 KiB pages as [(offset, bytes)], sorted by offset. *)
+val image : t -> (int * string) list
 
 (** Both block registries as sorted assoc lists
     [(payload, (size, lo, hi))]: live first, then quarantined. *)
 val entries :
   t -> (int * (int * int * int)) list * (int * (int * int * int)) list
 
-(** Replace both block registries from checkpointed entries. *)
-val set_entries :
+(** Reset the map to a checkpoint {!image} over zeros (only pages that
+    may be non-zero are zeroed) and replace both block registries from
+    checkpointed {!entries}. *)
+val load :
   t ->
+  (int * string) list ->
   live:(int * (int * int * int)) list ->
   freed:(int * (int * int * int)) list ->
   unit

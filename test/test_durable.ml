@@ -68,6 +68,12 @@ let flip_byte data off =
   Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x5a));
   Bytes.to_string b
 
+(* The same frame under a previous format's magic: what a checkpoint
+   written before the current fingerprint encoding looks like. *)
+let with_magic magic data =
+  let n = String.length magic in
+  magic ^ String.sub data n (String.length data - n)
+
 (* ------------------------------------------------------------------ *)
 (* Engine checkpoints *)
 
@@ -149,7 +155,23 @@ let engine_tests =
               (String.sub blob 0 (String.length blob / 2));
             expect_bad "empty" "";
             expect_bad "unmarshalable-payload"
-              (Harness.unmarshalable_frame ~magic:Engine.ckpt_magic)));
+              (Harness.unmarshalable_frame ~magic:Engine.ckpt_magic);
+            expect_bad "v1-magic" (with_magic "TERRACKPT1\n" blob)));
+    quick "fingerprint, snap and restore cost O(touched pages)" (fun () ->
+        (* a default-size (192 MiB) arena: 100 rounds take well under a
+           second when the state operations visit only touched pages, and
+           minutes when they walk the whole arena *)
+        let eng = Terrastd.create () in
+        ignore (Engine.run_capture_protected eng alloc_src);
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to 100 do
+          let fp = Engine.fingerprint eng in
+          Engine.restore_snap eng (Engine.snap eng);
+          checks "restore keeps the fingerprint" fp (Engine.fingerprint eng)
+        done;
+        let dt = Unix.gettimeofday () -. t0 in
+        if dt >= 5.0 then
+          Alcotest.failf "100 state rounds took %.2f s (limit 5 s)" dt);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -449,27 +471,34 @@ let torn_tests =
                     checki "uncommitted begin is discarded" 1
                       (jint report "discarded")))));
     quick "a corrupt newest checkpoint falls back one barrier" (fun () ->
-        with_dir "fallback" (fun dir ->
-            let server = durable_server ~dir ~interval:4 () in
-            let refs = drive_soak server 10 in
-            close_journal server;
-            (* generations now: ckpt-4, ckpt-8, wal-4, wal-8 *)
-            let newest = Filename.concat dir "ckpt-0000000008" in
-            checkb "newest checkpoint exists" true (Sys.file_exists newest);
-            let blob = read_bytes newest in
-            write_bytes newest (flip_byte blob (String.length blob - 3));
-            let recovered, report = recover_ok ~ctx:"fallback" dir in
-            checki "fell back one barrier" 4 (jint report "barrier");
-            checki "replayed the whole suffix" 6 (jint report "replayed");
-            checki "seq" 10 (jint report "seq");
-            (match jget report "skipped_checkpoints" with
-            | Json.List [ Json.Obj kvs ] ->
-                checkb "skip names the bad file" true
-                  (List.assoc_opt "file" kvs
-                  = Some (Json.Str "ckpt-0000000008"))
-            | _ -> Alcotest.fail "expected one skipped checkpoint");
-            check_refpoint ~ctx:"fallback" refs recovered 10;
-            close_journal recovered));
+        (* a checkpoint under the previous format's magic is skipped like
+           a corrupt one, never read as a fingerprint mismatch *)
+        List.iter
+          (fun (what, damage) ->
+            with_dir "fallback" (fun dir ->
+                let server = durable_server ~dir ~interval:4 () in
+                let refs = drive_soak server 10 in
+                close_journal server;
+                (* generations now: ckpt-4, ckpt-8, wal-4, wal-8 *)
+                let newest = Filename.concat dir "ckpt-0000000008" in
+                checkb "newest checkpoint exists" true (Sys.file_exists newest);
+                write_bytes newest (damage (read_bytes newest));
+                let recovered, report = recover_ok ~ctx:what dir in
+                checki "fell back one barrier" 4 (jint report "barrier");
+                checki "replayed the whole suffix" 6 (jint report "replayed");
+                checki "seq" 10 (jint report "seq");
+                (match jget report "skipped_checkpoints" with
+                | Json.List [ Json.Obj kvs ] ->
+                    checkb "skip names the bad file" true
+                      (List.assoc_opt "file" kvs
+                      = Some (Json.Str "ckpt-0000000008"))
+                | _ -> Alcotest.fail "expected one skipped checkpoint");
+                check_refpoint ~ctx:what refs recovered 10;
+                close_journal recovered))
+          [
+            ("flipped", fun blob -> flip_byte blob (String.length blob - 3));
+            ("v1-magic", with_magic "TERRASRV1\n");
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -611,6 +611,308 @@ let prop_int_add_matches_ocaml =
       && run Ir.Sub = Int64.sub a b
       && run Ir.Mul = Int64.mul a b)
 
+(* ------------------------------------------------------------------ *)
+(* Dirty-page ledger oracle *)
+
+(* The reference is the full-scan digest the ledger replaced, taken over
+   a plain model of the arena and the shadow map into which every
+   operation below is mirrored: MD5 of statics [0, upto), of the whole
+   heap and stack, and of the whole shadow map.  The ledger fingerprints
+   must be equal exactly when the reference digests are. *)
+
+let oracle_bytes = 10 lsl 20 (* Mem's minimum arena *)
+
+type model = { m_mem : Bytes.t; m_map : Bytes.t option }
+
+let copy_model m =
+  { m_mem = Bytes.copy m.m_mem; m_map = Option.map Bytes.copy m.m_map }
+
+let reference_digest vm m ~upto =
+  let hb = Mem.heap_base vm.Vm.mem in
+  let d1 = Digest.subbytes m.m_mem 0 upto in
+  let d2 = Digest.subbytes m.m_mem hb (Bytes.length m.m_mem - hb) in
+  let sh = match m.m_map with Some map -> Digest.bytes map | None -> "-" in
+  Digest.to_hex (Digest.string (d1 ^ d2 ^ sh))
+
+let ledger_fingerprint vm ~upto =
+  Mem.fingerprint ~statics_upto:upto vm.Vm.mem
+  ^
+  match Mem.shadow vm.Vm.mem with
+  | Some sh -> Shadow.fingerprint sh
+  | None -> "-"
+
+let oracle_vm ~checked =
+  Vm.create ~mem_bytes:oracle_bytes ~checked
+    (Tmachine.Machine.create Tmachine.Config.test_tiny)
+
+let fresh_model vm =
+  {
+    m_mem = Bytes.make (Mem.size vm.Vm.mem) '\000';
+    m_map =
+      Option.map
+        (fun sh -> Bytes.make (Shadow.limit sh - Shadow.base sh) '\000')
+        (Mem.shadow vm.Vm.mem);
+  }
+
+(* The arena a Session restore of a capture taken at [statics_ptr] over
+   model [m] leaves behind: statics below the pointer, heap and stack
+   verbatim, zeros elsewhere. *)
+let restored_model vm m ~statics_ptr =
+  let r =
+    {
+      m_mem = Bytes.make (Bytes.length m.m_mem) '\000';
+      m_map = Option.map Bytes.copy m.m_map;
+    }
+  in
+  let hb = Mem.heap_base vm.Vm.mem in
+  Bytes.blit m.m_mem 0 r.m_mem 0 statics_ptr;
+  Bytes.blit m.m_mem hb r.m_mem hb (Bytes.length m.m_mem - hb);
+  r
+
+(* The non-zero 4 KiB pages of [b] from [from] on, by a plain scan. *)
+let model_pages b ~from =
+  let pages = ref [] in
+  let off = ref from in
+  while !off < Bytes.length b do
+    let len = min 4096 (Bytes.length b - !off) in
+    let page = Bytes.sub_string b !off len in
+    if page <> String.make len '\000' then pages := (!off, page) :: !pages;
+    off := !off + 4096
+  done;
+  List.rev !pages
+
+(* A capture holds exactly the model's bytes: this checks the engine's
+   contents, not just the equality structure of its fingerprints. *)
+let check_image (snap : Session.t) m ~statics_ptr ~heap_base =
+  let mi = snap.Session.sn_mem in
+  checkb "captured statics = model" true
+    (mi.Session.mi_statics = Bytes.sub_string m.m_mem 0 statics_ptr);
+  checkb "captured heap and stack pages = model" true
+    (mi.Session.mi_pages = model_pages m.m_mem ~from:heap_base);
+  match (snap.Session.sn_shadow, m.m_map) with
+  | Some si, Some map ->
+      checkb "captured shadow pages = model" true
+        (si.Session.si_pages = model_pages map ~from:0)
+  | None, None -> ()
+  | _ -> Alcotest.fail "checkedness differs"
+
+let shadow_code = function
+  | Shadow.Unaddressable -> '\000'
+  | Addressable -> '\001'
+  | Freed -> '\002'
+  | Redzone -> '\003'
+
+(* Apply [op] to the engine; only when it did not fault, mirror it into
+   the model ([Mem] checks before it writes, so a faulting op writes
+   nothing). *)
+let attempt op mirror =
+  match op () with
+  | () -> mirror ()
+  | exception (Mem.Fault _ | Shadow.Violation _) -> ()
+
+let run_ledger_oracle ~checked ~seed ~steps =
+  let st = Random.State.make [| seed |] in
+  let ri n = Random.State.int st n in
+  let vm = oracle_vm ~checked in
+  let other = oracle_vm ~checked in
+  let mem = vm.Vm.mem in
+  let size = Mem.size mem in
+  let hb = Mem.heap_base mem in
+  let model = ref (fresh_model vm) in
+  (* observations: (ledger fingerprint, reference digest) *)
+  let seen = ref [] in
+  let observe_on v m ~upto =
+    seen := (ledger_fingerprint v ~upto, reference_digest v m ~upto) :: !seen
+  in
+  let observe () = observe_on vm !model ~upto:(Mem.statics_mark mem) in
+  let txn = ref None in
+  let captures = ref [] in
+  (* a few pages in every region, so states recur *)
+  let addr () =
+    let page =
+      match ri 7 with
+      | 0 -> Mem.statics_base
+      | 1 -> Mem.statics_mark mem - 2048
+      | 2 -> hb
+      | 3 -> hb + 4096
+      | 4 -> hb + (40 * 4096)
+      | 5 -> size - 4096
+      | _ -> size - (3 * 4096)
+    in
+    let off =
+      match ri 4 with 0 -> 0 | 1 -> 4093 | 2 -> 4096 - 1 | _ -> ri 4096
+    in
+    max Mem.statics_base (min (size - 8) (page + off))
+  in
+  let value () =
+    match ri 4 with
+    | 0 | 1 -> 0L
+    | 2 -> 0xffL
+    | _ -> Random.State.int64 st Int64.max_int
+  in
+  let len () = match ri 3 with 0 -> 1 + ri 16 | 1 -> 4096 | _ -> ri 9000 in
+  let write_model a n f =
+    if a >= 0 && n >= 0 && a + n <= size then f a n
+  in
+  for _ = 1 to steps do
+    match ri 100 with
+    | r when r < 38 ->
+        let a = addr () and v = value () in
+        let w = [| 1; 2; 4; 8 |].(ri 4) in
+        attempt
+          (fun () ->
+            match w with
+            | 1 -> Mem.set_u8 mem a (Int64.to_int v)
+            | 2 -> Mem.set_u16 mem a (Int64.to_int v)
+            | 4 -> Mem.set_i32 mem a (Int64.to_int32 v)
+            | _ -> Mem.set_i64 mem a v)
+          (fun () ->
+            let b = Bytes.create 8 in
+            Bytes.set_int64_le b 0 v;
+            Bytes.blit b 0 !model.m_mem a w)
+    | r when r < 58 ->
+        (* fills; mostly zeros, which hand pages back to the background *)
+        let a = addr () and n = len () in
+        let c = if ri 3 = 0 then 'x' else '\000' in
+        attempt
+          (fun () -> Mem.fill mem a n c)
+          (fun () -> write_model a n (fun a n -> Bytes.fill !model.m_mem a n c))
+    | r when r < 65 ->
+        let src = addr () and dst = addr () and n = len () in
+        attempt
+          (fun () -> Mem.blit mem ~src ~dst ~len:n)
+          (fun () -> Bytes.blit !model.m_mem src !model.m_mem dst n)
+    | r when r < 70 ->
+        let a = addr () in
+        Mem.corrupt_byte mem a;
+        Bytes.set !model.m_mem a '\xA5'
+    | r when r < 75 -> (
+        match Mem.alloc_static mem ~align:8 (1 + ri 6000) with
+        | a ->
+            (* a store into the fresh statics, often on the floor page *)
+            attempt
+              (fun () -> Mem.set_i64 mem a 0x5151L)
+              (fun () -> Bytes.set_int64_le !model.m_mem a 0x5151L)
+        | exception Mem.Fault _ -> ())
+    | r when r < 82 -> (
+        match Mem.shadow mem with
+        | Some sh ->
+            let a = hb + ri (48 * 4096) and n = len () in
+            let state =
+              [| Shadow.Unaddressable; Addressable; Addressable; Freed;
+                 Redzone |].(ri 5)
+            in
+            Shadow.mark sh ~addr:a ~len:n state;
+            let base = Shadow.base sh in
+            let lo = max a base and hi = min (a + n) (Shadow.limit sh) in
+            if hi > lo then
+              Bytes.fill (Option.get !model.m_map) (lo - base) (hi - lo)
+                (shadow_code state)
+        | None -> ())
+    | r when r < 86 -> (
+        match !txn with
+        | None ->
+            let mark = Mem.statics_mark mem in
+            let pre = copy_model !model in
+            observe_on vm !model ~upto:mark;
+            txn := Some (Vm.begin_txn vm, pre, mark, fst (List.hd !seen))
+        | Some (tx, pre, mark, pre_fp) ->
+            txn := None;
+            if ri 3 = 0 then Vm.commit vm tx
+            else begin
+              Vm.rollback vm tx;
+              (* statics allocated during the transaction are kept *)
+              let keep = Mem.heap_base mem - mark in
+              Bytes.blit !model.m_mem mark pre.m_mem mark keep;
+              model := pre;
+              observe_on vm !model ~upto:mark;
+              Alcotest.(check string)
+                "rollback restores the fingerprint" pre_fp (fst (List.hd !seen));
+              (* and keeps the statics allocated during the transaction *)
+              observe ()
+            end)
+    | r when r < 90 && !txn = None ->
+        let snap = Session.capture vm and sp = Mem.statics_mark mem in
+        check_image snap !model ~statics_ptr:sp ~heap_base:hb;
+        captures :=
+          (snap, copy_model !model, sp)
+          :: (match !captures with a :: b :: c :: _ -> [ a; b; c ] | l -> l)
+    | r when r < 94 && !txn = None && !captures <> [] ->
+        let snap, m, statics_ptr =
+          List.nth !captures (ri (List.length !captures))
+        in
+        if ri 2 = 0 then begin
+          (* onto this engine, dirtier than when it was captured *)
+          Session.restore vm snap;
+          model := restored_model vm m ~statics_ptr;
+          observe ()
+        end
+        else begin
+          (* onto a second engine first dirtied with writes of its own *)
+          for _ = 1 to 1 + ri 6 do
+            let a = addr () in
+            (try Mem.fill other.Vm.mem a (len ()) 'y' with _ -> ());
+            Mem.corrupt_byte other.Vm.mem a;
+            match Mem.shadow other.Vm.mem with
+            | Some sh -> Shadow.mark sh ~addr:a ~len:(len ()) Shadow.Redzone
+            | None -> ()
+          done;
+          Session.restore other snap;
+          observe_on other (restored_model vm m ~statics_ptr)
+            ~upto:(Mem.statics_mark other.Vm.mem)
+        end
+    | r when r < 96 -> observe ()
+    | _ -> ()
+  done;
+  (match !txn with Some (tx, _, _, _) -> Vm.commit vm tx | None -> ());
+  observe ();
+  (* equal ledger fingerprints <=> equal reference digests, over every
+     pair of observed states *)
+  let by_ledger = Hashtbl.create 256 and by_ref = Hashtbl.create 256 in
+  List.iter
+    (fun (l, r) ->
+      (match Hashtbl.find_opt by_ledger l with
+      | Some r' when r' <> r ->
+          Alcotest.failf "ledger %s names two reference states" l
+      | _ -> Hashtbl.replace by_ledger l r);
+      match Hashtbl.find_opt by_ref r with
+      | Some l' when l' <> l ->
+          Alcotest.failf "reference %s has two ledger fingerprints" r
+      | _ -> Hashtbl.replace by_ref r l)
+    !seen;
+  let n = List.length !seen and distinct = Hashtbl.length by_ref in
+  checkb "observed many states" true (n >= 100);
+  checkb "states recur (the oracle compares equal pairs too)" true
+    (distinct < n - 20);
+  checkb "and distinct ones" true (distinct > 20)
+
+let test_ledger_oracle_unchecked () =
+  run_ledger_oracle ~checked:false ~seed:13 ~steps:2000
+
+let test_ledger_oracle_checked () =
+  run_ledger_oracle ~checked:true ~seed:31 ~steps:2000
+
+(* A page written and zeroed again fingerprints like one never touched,
+   whether or not its digest was cached while it was non-zero. *)
+let test_rezeroed_page_is_pristine () =
+  let vm = oracle_vm ~checked:true and pristine = oracle_vm ~checked:true in
+  let fp v = ledger_fingerprint v ~upto:(Mem.statics_mark v.Vm.mem) in
+  let mem = vm.Vm.mem in
+  let sh = Option.get (Mem.shadow mem) in
+  let a = Mem.heap_base mem + 4096 + 100 in
+  List.iter
+    (fun digest_between ->
+      Shadow.mark sh ~addr:a ~len:5000 Shadow.Addressable;
+      Mem.set_i64 mem a 42L;
+      Mem.fill mem (Mem.size mem - 4096) 16 'z';
+      if digest_between then
+        checkb "dirty differs" true (fp vm <> fp pristine);
+      Mem.set_i64 mem a 0L;
+      Mem.fill mem (Mem.size mem - 4096) 16 '\000';
+      Shadow.mark sh ~addr:a ~len:5000 Shadow.Unaddressable;
+      Alcotest.(check string) "re-zeroed = pristine" (fp pristine) (fp vm))
+    [ false; true ]
+
 let () =
   Alcotest.run "tvm"
     [
@@ -676,5 +978,14 @@ let () =
             test_unresolved_import_traps;
           QCheck_alcotest.to_alcotest prop_cvt_int_widths;
           QCheck_alcotest.to_alcotest prop_int_add_matches_ocaml;
+        ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "oracle vs full-scan digest (unchecked)" `Quick
+            test_ledger_oracle_unchecked;
+          Alcotest.test_case "oracle vs full-scan digest (checked)" `Quick
+            test_ledger_oracle_checked;
+          Alcotest.test_case "re-zeroed page is pristine" `Quick
+            test_rezeroed_page_is_pristine;
         ] );
     ]
